@@ -89,7 +89,8 @@ def plan_sweep(smoke):
         rng = np.random.default_rng(17)
         datasets = [make_dataset(i, rng) for i in range(n)]
         cached = DataMarket(internal_market())
-        uncached = DataMarket(internal_market(), plan_cache=False)
+        uncached = DataMarket(internal_market())
+        uncached.planner.detach()  # plan cache off
         for market in (cached, uncached):
             for i, ds in enumerate(datasets):
                 market.register_dataset(ds, seller=f"s{i % 5}")
@@ -168,7 +169,8 @@ def test_e22_delta_invalidates_and_matches(plan_sweep):
     uncached planner."""
     rng = np.random.default_rng(99)
     cached = DataMarket(internal_market())
-    uncached = DataMarket(internal_market(), plan_cache=False)
+    uncached = DataMarket(internal_market())
+    uncached.planner.detach()  # plan cache off
     for market in (cached, uncached):
         for i in range(8):
             market.register_dataset(

@@ -44,13 +44,16 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import DataMarket, internal_market
+from repro.discovery import metadata
 from repro.discovery.metadata import MetadataEngine
-from repro.discovery.profiler import set_columnar_profiling
+from repro.discovery.profiler import profile_table, table_content_hash
 from repro.relation import Column, Relation
 from repro.relation.relation import _freeze_row
 from repro.sketches import CategoricalSummary, MinHash, NumericSummary
@@ -258,18 +261,32 @@ def assert_matches_legacy(columnar_profiles, legacy_profiles):
 # ingest sweep
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def profiling_mode(columnar: bool):
+    """Route ``MetadataEngine.register`` through the columnar path or the
+    scalar reference oracle (``columnar=False``) for the duration of the
+    block; profiling mode is a per-call argument, so the bench rebinds the
+    two profiler entry points the metadata engine calls."""
+    saved = metadata.profile_table, metadata.table_content_hash
+    metadata.profile_table = partial(profile_table, columnar=columnar)
+    metadata.table_content_hash = partial(
+        table_content_hash, columnar=columnar
+    )
+    try:
+        yield
+    finally:
+        metadata.profile_table, metadata.table_content_hash = saved
+
+
 def timed_register(specs, columnar: bool) -> tuple[float, list]:
     relations = fresh_relations(specs)
     _TOKEN_CACHE.clear()
-    previous = set_columnar_profiling(columnar)
     engine = MetadataEngine(num_perm=NUM_PERM)
-    try:
+    with profiling_mode(columnar):
         t0 = time.perf_counter()
         for r in relations:
             engine.register(r)
         elapsed = time.perf_counter() - t0
-    finally:
-        set_columnar_profiling(previous)
     return elapsed, [engine.snapshot(r.name).profile for r in relations]
 
 
@@ -386,7 +403,8 @@ def churn_sweep(smoke):
         (["user2"], "userkey"),
     ]
     cached = DataMarket(internal_market())
-    uncached = DataMarket(internal_market(), plan_cache=False)
+    uncached = DataMarket(internal_market())
+    uncached.planner.detach()  # plan cache off
     for market in (cached, uncached):
         for stem in STEMS:
             for i in range(4):

@@ -32,9 +32,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.integration import MashupRequest
+from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
+from repro.integration import DoDEngine, MashupRequest
 from repro.integration.plan import _qualify
-from repro.mashup import MashupBuilder
 from repro.relation import (
     And,
     Column,
@@ -70,11 +70,15 @@ def build_market(cost_model: bool, n_orders: int, dup: int, cover_frac: float):
         [Column("s_code", "int"), Column("s_attr", "str")],
         [(i, f"st{i}") for i in range(int(n_s * cover_frac))],
     )
-    b = MashupBuilder(min_overlap=0.15, cost_model=cost_model)
-    b.add_dataset(orders, owner="a")
-    b.add_dataset(events, owner="b")
-    b.add_dataset(status, owner="c")
-    return b
+    engine = MetadataEngine()
+    index = IndexBuilder(engine, min_overlap=0.15)
+    dod = DoDEngine(
+        engine, index, DiscoveryEngine(engine, index), cost_model=cost_model
+    )
+    engine.register(orders, owner="a")
+    engine.register(events, owner="b")
+    engine.register(status, owner="c")
+    return dod
 
 
 def peak_rows(plan, resolver) -> int:
@@ -97,16 +101,16 @@ def plan_quality(request):
 
     results = {}
     for label, flag in (("cost", True), ("hops", False)):
-        b = build_market(flag, n_orders, dup, cover_frac=0.2)
+        dod = build_market(flag, n_orders, dup, cover_frac=0.2)
         t0 = time.perf_counter()
-        mashup = b.build(req)[0]
+        mashup = dod.build_mashups(req)[0]
         wall = time.perf_counter() - t0
         results[label] = {
             "mashup": mashup,
             "wall_s": wall,
-            "peak": peak_rows(mashup.plan, b.metadata.relation),
+            "peak": peak_rows(mashup.plan, dod.engine.relation),
             "order": [j.dataset for j in mashup.plan.joins],
-            "estimates": list(b.dod.last_stats.cardinality_estimates),
+            "estimates": list(dod.last_stats.cardinality_estimates),
         }
 
     bag = lambda m: sorted(map(repr, m.relation.rows))

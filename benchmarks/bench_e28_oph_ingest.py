@@ -59,10 +59,10 @@ from bench_e23_ingest_fastpath import (
     component_ds,
     fresh_relations,
     legacy_ingest,
+    profiling_mode,
 )
 from repro import DataMarket, internal_market
 from repro.discovery.metadata import MetadataEngine
-from repro.discovery.profiler import set_columnar_profiling
 from repro.platform.store import MarketStore, StoreError
 from repro.relation.columnar import pack_value
 from repro.sketches.minhash import _TOKEN_CACHE
@@ -93,8 +93,7 @@ def timed_register(
     straight into the gate ratios."""
     best = float("inf")
     profiles = []
-    previous = set_columnar_profiling(columnar)
-    try:
+    with profiling_mode(columnar):
         for _ in range(repeats):
             relations = fresh_relations(specs)
             _TOKEN_CACHE.clear()
@@ -109,8 +108,6 @@ def timed_register(
                 profiles = [
                     engine.snapshot(r.name).profile for r in relations
                 ]
-    finally:
-        set_columnar_profiling(previous)
     return best, profiles
 
 
@@ -307,9 +304,7 @@ def scheme_markets():
     set does not hang on estimator noise near the score threshold)."""
     markets = {}
     for scheme in ("classic", "oph"):
-        market = DataMarket(
-            internal_market(), num_perm=NUM_PERM, scheme=scheme
-        )
+        market = DataMarket(internal_market(), scheme=scheme)
         for stem in STEMS:
             for i in range(4):
                 market.register_dataset(
@@ -366,7 +361,7 @@ def test_e28_store_replay_bit_identical(tmp_path, bench_json):
     specs = build_corpus("tall", 800)
     path = tmp_path / "market.db"
     warm = DataMarket(
-        internal_market(), num_perm=NUM_PERM, scheme="oph",
+        internal_market(), scheme="oph",
         store=MarketStore(path),
     )
     for relation in fresh_relations(specs):
@@ -375,7 +370,7 @@ def test_e28_store_replay_bit_identical(tmp_path, bench_json):
     # a crash loses nothing the store holds: cold-start a fresh market
     # from the same file and demand bit-identical sketch state
     cold = DataMarket(
-        internal_market(), num_perm=NUM_PERM, scheme="oph",
+        internal_market(), scheme="oph",
         store=MarketStore(path),
     )
     for name, _cols, _rows in specs:
@@ -393,7 +388,7 @@ def test_e28_store_replay_bit_identical(tmp_path, bench_json):
     # the same store must refuse to seed a classic-scheme market
     with pytest.raises(StoreError, match="scheme"):
         DataMarket(
-            internal_market(), num_perm=NUM_PERM, scheme="classic",
+            internal_market(), scheme="classic",
             store=MarketStore(path),
         )
 

@@ -696,8 +696,8 @@ class IndexBuilder:
 
     def lsh_band_keys(self, signature) -> list[tuple[int, ...]]:
         """The banded bucket keys this builder derives for a signature
-        (pure function of the signature and the banding configuration —
-        what the durable store persists per column)."""
+        (pure function of the signature and the banding configuration, so
+        a replayed signature must band exactly like the live one)."""
         bands = self.lsh_bands or signature.num_perm
         rows = signature.num_perm // bands
         return [

@@ -12,10 +12,9 @@ column content hash digests the view's concatenated separator-delimited
 byte buffer in one C-level BLAKE2b call, the MinHash signature folds the
 distinct reprs through the vectorized token hasher, and the categorical
 summary counts the same cached strings.  The original value-at-a-time
-implementations are kept as the **scalar reference oracle** behind
-``columnar=False`` (or :func:`set_columnar_profiling`); both paths produce
-bit-identical profiles, which the test suite asserts property-style over
-randomized dtypes.
+implementations are kept as the **scalar reference oracle** behind the
+per-call ``columnar=False``; both paths produce bit-identical profiles,
+which the test suite asserts property-style over randomized dtypes.
 """
 
 from __future__ import annotations
@@ -33,24 +32,6 @@ from ..relation import Relation
 from ..relation.columnar import pack_value, unpack_value
 from ..sketches import CategoricalSummary, MinHash, NumericSummary
 from ..sketches.minhash import _hash_bytes_raw, hash_packed
-
-#: module default for the columnar fast path; flip with
-#: :func:`set_columnar_profiling` to fall back to the scalar reference
-#: oracle globally (e.g. when benchmarking one against the other)
-_COLUMNAR_DEFAULT = True
-
-
-def set_columnar_profiling(enabled: bool) -> bool:
-    """Set the module-wide default profiling mode; returns the old value."""
-    global _COLUMNAR_DEFAULT
-    previous = _COLUMNAR_DEFAULT
-    _COLUMNAR_DEFAULT = bool(enabled)
-    return previous
-
-
-def _use_columnar(flag: bool | None) -> bool:
-    return _COLUMNAR_DEFAULT if flag is None else flag
-
 
 @dataclass(frozen=True)
 class ColumnProfile:
@@ -142,7 +123,7 @@ def column_profile_from_record(
 
 
 def column_content_hash(
-    relation: Relation, name: str, *, columnar: bool | None = None,
+    relation: Relation, name: str, *, columnar: bool = True,
     scheme: str = "classic",
 ) -> str:
     """Deterministic hash of one column's values (order-sensitive).
@@ -160,8 +141,8 @@ def column_content_hash(
     encodings, and the store refuses to mix them.
     """
     if scheme == "oph":
-        return _oph_column_hash(relation, name, _use_columnar(columnar))
-    if _use_columnar(columnar):
+        return _oph_column_hash(relation, name, columnar)
+    if columnar:
         return hashlib.blake2b(
             relation.columnar.canonical_bytes(name), digest_size=16
         ).hexdigest()
@@ -219,7 +200,7 @@ def _oph_column_hash(relation: Relation, name: str, columnar: bool) -> str:
 
 
 def table_content_hash(
-    relation: Relation, *, columnar: bool | None = None,
+    relation: Relation, *, columnar: bool = True,
     scheme: str = "classic",
 ) -> str:
     """Scheme-aware digest of a whole relation, used for change detection
@@ -239,7 +220,7 @@ def table_content_hash(
     h.update(repr(relation.schema).encode())
     h.update(str(len(relation)).encode())
     for name in relation.schema.names:
-        h.update(_oph_column_hash(relation, name, _use_columnar(columnar)).encode())
+        h.update(_oph_column_hash(relation, name, columnar).encode())
     return h.hexdigest()
 
 
@@ -411,21 +392,20 @@ def _profile_column_oph(
 
 def profile_column(
     relation: Relation, name: str, num_perm: int = 64,
-    content_hash: str | None = None, *, columnar: bool | None = None,
+    content_hash: str | None = None, *, columnar: bool = True,
     scheme: str = "classic",
 ) -> ColumnProfile:
     """Sketch one column; pass ``content_hash`` when already computed."""
     col = relation.schema[name]
-    use_columnar = _use_columnar(columnar)
     if scheme == "oph":
         return _profile_column_oph(
             relation, name, num_perm,
             content_hash or column_content_hash(
-                relation, name, columnar=use_columnar, scheme=scheme
+                relation, name, columnar=columnar, scheme=scheme
             ),
-            use_columnar,
+            columnar,
         )
-    if use_columnar:
+    if columnar:
         view = relation.columnar
         nulls = view.null_count(name)
         distinct = view.distinct_reprs(name)
@@ -477,7 +457,7 @@ def profile_column(
         categorical=categorical,
         distinct_fraction=(len(distinct) / n_non_null) if n_non_null else 0.0,
         content_hash=content_hash or column_content_hash(
-            relation, name, columnar=use_columnar
+            relation, name, columnar=columnar
         ),
     )
 
@@ -487,7 +467,7 @@ def profile_table(
     num_perm: int = 64,
     previous: TableProfile | None = None,
     *,
-    columnar: bool | None = None,
+    columnar: bool = True,
     scheme: str = "classic",
 ) -> TableProfile:
     """Profile every column; with ``previous`` (the dataset's prior profile),
@@ -496,7 +476,7 @@ def profile_table(
     of a wide dataset only pays for the columns that actually moved.
     """
     prior = previous._by_name if previous is not None else {}
-    if _use_columnar(columnar):
+    if columnar:
         relation.columnar.materialize()  # one transpose for all columns
     columns = []
     for name in relation.columns:

@@ -149,13 +149,3 @@ class RateLimitError(MarketError):
 
 class SimulationError(ReproError):
     """The market simulator was configured inconsistently."""
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Warning category for deprecated library surface (manual engine
-    wiring superseded by :class:`repro.platform.DataMarket`).
-
-    A dedicated subclass lets the test suite escalate *our* deprecations to
-    errors (``filterwarnings = error::repro.errors.ReproDeprecationWarning``)
-    without tripping over third-party DeprecationWarnings.
-    """

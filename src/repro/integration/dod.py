@@ -56,7 +56,6 @@ import heapq
 import itertools
 import math
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -71,7 +70,6 @@ from ..discovery import (
 from ..errors import (
     DiscoveryError,
     IntegrationError,
-    ReproDeprecationWarning,
     SchemaError,
     SynthesisError,
 )
@@ -228,7 +226,6 @@ def _copy_mashup(m: Mashup) -> Mashup:
         matched=dict(m.matched),
         missing=m.missing,
         tree=m.tree,
-        engine=m.engine,
     )
 
 
@@ -303,35 +300,25 @@ class DoDEngine:
         self,
         engine: MetadataEngine,
         index: IndexBuilder,
-        discovery: DiscoveryEngine | None = None,
+        discovery: DiscoveryEngine,
         exhaustive: bool = False,
         beam_width: int | None = None,
         plan_cache: bool = True,
         plan_cache_size: int = 128,
-        exec_engine: str = "columnar",
         cost_model: bool = True,
     ):
         self.engine = engine
-        if discovery is None:
-            warnings.warn(
-                "constructing DoDEngine without an explicit DiscoveryEngine "
-                "is deprecated: pass one, or let repro.platform.DataMarket "
-                "wire the stack",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
         self.index = index
-        self.discovery = discovery or DiscoveryEngine(engine, index)
+        self.discovery = discovery
         self.exhaustive = exhaustive
         if beam_width is not None and beam_width < 1:
             raise IntegrationError("beam_width must be >= 1 or None")
         if plan_cache_size < 1:
             raise IntegrationError("plan_cache_size must be >= 1")
         self.beam_width = beam_width
-        #: execution engine for candidate plans ("columnar" pipelines the
-        #: join trees; "iteration" is the eager oracle)
-        self.exec_engine = exec_engine
-        self.processor = Processor(exec_engine)
+        #: runs candidate plans on the default (columnar) engine; callers
+        #: pick the iteration oracle per collect
+        self.processor = Processor()
         #: True (default): connect assignments with the fan-out cost model
         #: and order dimension joins by ascending estimated blow-up; False:
         #: the pre-cost hop-count heuristic (the comparison oracle)
@@ -587,7 +574,7 @@ class DoDEngine:
             )
             mashups.append(
                 Mashup(plan=plan, tree=tree, matched=matched,
-                       missing=missing, engine=self.exec_engine)
+                       missing=missing)
             )
             if len(mashups) >= request.max_results:
                 break

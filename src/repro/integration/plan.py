@@ -14,17 +14,15 @@ projection/rename into an immutable expression tree — nothing touches the
 rows until the tree is collected (:meth:`MashupPlan.run`, or
 ``Mashup.relation`` on first access).  Provenance flows through untouched,
 which is what lets the revenue-sharing engine split the sale price over
-contributing datasets afterwards.  The eager :meth:`MashupPlan.execute` is
-kept as a deprecation shim over the iteration engine.
+contributing datasets afterwards.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import IntegrationError, ReproDeprecationWarning
+from ..errors import IntegrationError
 from .synthesis import MappingFunction
 from ..relation import Column, Relation, RelationExpr
 
@@ -168,18 +166,6 @@ class MashupPlan:
         name, instance, or None for the default)."""
         return self.build_tree(resolver, name).collect(engine)
 
-    def execute(self, resolver: Callable[[str], Relation],
-                name: str = "mashup") -> Relation:
-        """Deprecated eager executor: use :meth:`build_tree` /
-        :meth:`run` (the tree API) instead."""
-        warnings.warn(
-            "MashupPlan.execute is deprecated: build a lazy tree with "
-            "build_tree() and collect it (or call run()) instead",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(resolver, name, engine="iteration")
-
 
 class Mashup:
     """A mashup: the plan, its (lazily evaluated) result, and match data.
@@ -198,7 +184,6 @@ class Mashup:
         matched: dict[str, tuple[str, str, float]] | None = None,
         missing: tuple[str, ...] = (),
         tree: RelationExpr | None = None,
-        engine=None,
     ):
         if tree is None:
             if relation is None:
@@ -214,7 +199,6 @@ class Mashup:
         self.matched: dict[str, tuple[str, str, float]] = dict(matched or {})
         #: requested attributes nobody could supply (negotiation targets)
         self.missing = tuple(missing)
-        self.engine = engine
         self._relation = relation
 
     @property
@@ -233,7 +217,7 @@ class Mashup:
     def collect(self, engine=None) -> Relation:
         """Materialize the result tree (``engine`` overrides the default;
         engines are bit-identical, so the memoized result is shared)."""
-        rel = self.tree.collect(engine if engine is not None else self.engine)
+        rel = self.tree.collect(engine)
         if self._relation is None:
             self._relation = rel
         return rel

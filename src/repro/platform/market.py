@@ -91,55 +91,27 @@ def _normalized_attributes(attributes: Iterable[str]) -> tuple[str, ...]:
 class DataMarket:
     """Facade over the full data-market stack, per deployed design.
 
-    Constructor knobs forward to the internal layer: ``num_perm`` /
-    ``min_overlap`` / ``incremental`` shape the discovery indexes,
-    ``exhaustive`` / ``beam_width`` select the DoD plan enumerator,
-    ``cost_model`` toggles fan-out cost-based join-tree planning (on by
-    default; off selects the hop-count comparison oracle), and
-    ``plan_cache`` / ``plan_cache_size`` control the component-scoped plan
-    cache (on by default, LRU-bounded): cached plans survive deltas in
-    unrelated join-graph components and are evicted exactly when a delta
-    touched a component they depend on.  ``scheme`` selects the MinHash
-    sketch scheme for every column profile: ``"classic"`` (the
-    ``num_perm``-way universal-hash fold) or ``"oph"`` (one-permutation
-    hashing with densification plus repr-free packed canonicalization —
-    the fast ingest path); a store replays only into a market of the
-    same scheme.
+    ``scheme`` selects the MinHash sketch scheme for every column
+    profile: ``"classic"`` (the ``num_perm``-way universal-hash fold) or
+    ``"oph"`` (one-permutation hashing with densification plus repr-free
+    packed canonicalization — the fast ingest path); a store replays only
+    into a market of the same scheme.  Every other setting (sketch width,
+    index overlap threshold, plan enumerator, cost model, plan cache) is
+    declared once, on the layer that owns it — :class:`MetadataEngine`,
+    :class:`IndexBuilder`, :class:`DoDEngine` — at its production default;
+    tests and benchmarks that need a reference oracle wire those layers
+    directly.
     """
 
     def __init__(
         self,
         design: MarketDesign | None = None,
         *,
-        num_perm: int = 64,
-        min_overlap: float = 0.5,
-        incremental: bool = True,
-        exhaustive: bool = False,
-        beam_width: int | None = None,
-        plan_cache: bool = True,
-        plan_cache_size: int = 128,
-        exec_engine: str = "columnar",
-        cost_model: bool = True,
         scheme: str = "classic",
         store: MarketStore | str | None = None,
     ):
         self.design = design if design is not None else external_market()
-        self.exec_engine = exec_engine
-        self.arbiter = Arbiter(
-            self.design,
-            builder=MashupBuilder(
-                num_perm=num_perm,
-                min_overlap=min_overlap,
-                incremental=incremental,
-                exhaustive=exhaustive,
-                beam_width=beam_width,
-                plan_cache=plan_cache,
-                plan_cache_size=plan_cache_size,
-                exec_engine=exec_engine,
-                cost_model=cost_model,
-                scheme=scheme,
-            ),
-        )
+        self.arbiter = Arbiter(self.design, builder=MashupBuilder(scheme))
         self._rounds = 0
         self._dispute_desk: DisputeDesk | None = None
         self._insurance_desk: InsuranceDesk | None = None
@@ -394,9 +366,9 @@ class DataMarket:
     ) -> tuple[Relation, ...]:
         """Run a :class:`PlanResult`'s unevaluated trees and return the
         relations, best mashup first.  ``engine`` picks the execution
-        engine (``"columnar"`` / ``"iteration"``); None uses the
-        market's ``exec_engine``.  Engines are bit-identical, and results
-        are memoized on the mashups."""
+        engine (``"columnar"`` / ``"iteration"``); None uses the default
+        columnar engine.  Engines are bit-identical, and results are
+        memoized on the mashups."""
         return result.collect(engine)
 
     # -- negotiation (Section 4.1) -----------------------------------------

@@ -8,7 +8,6 @@ process **replays** state instead of re-profiling every dataset:
   license and contextual-integrity policy),
 * per-column profiles — summary statistics plus the binary MinHash
   signature (:meth:`~repro.sketches.MinHash.to_bytes`),
-* the LSH band buckets each signature hashes into,
 * the join-candidate set and the relationship graph's edges, both with
   their fan-out estimates,
 * the component fingerprints (persisted as an integrity check — replay
@@ -62,7 +61,11 @@ from ..sketches import MinHash
 
 #: bump on any table change; a store created by a different schema version
 #: is refused rather than silently misread
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+#: the one older version this build opens: v2 differs from v3 only by a
+#: table v3 no longer keeps (per-band LSH keys, written on every delta and
+#: never read), so the upgrade drops every table outside :data:`TABLES`
+_UPGRADABLE_VERSION = 2
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -91,7 +94,6 @@ TABLES: dict[str, tuple[str, ...]] = {
         "distinct_fraction", "content_hash", "scheme", "signature",
         "numeric_json", "categorical_json",
     ),
-    "lsh_buckets": ("dataset", "column_name", "band", "band_key"),
     "join_candidates": (
         "left_dataset", "left_column", "right_dataset", "right_column",
         "score", "evidence", "pk_side", "fanout_lr", "fanout_rl",
@@ -141,13 +143,6 @@ CREATE TABLE IF NOT EXISTS column_profiles (
     numeric_json      TEXT,
     categorical_json  TEXT NOT NULL,
     PRIMARY KEY (dataset, column_name)
-);
-CREATE TABLE IF NOT EXISTS lsh_buckets (
-    dataset     TEXT NOT NULL,
-    column_name TEXT NOT NULL,
-    band        INTEGER NOT NULL,
-    band_key    TEXT NOT NULL,
-    PRIMARY KEY (dataset, column_name, band)
 );
 CREATE TABLE IF NOT EXISTS join_candidates (
     left_dataset  TEXT NOT NULL,
@@ -250,11 +245,30 @@ class MarketStore:
                     "VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
+            elif int(row[0]) == _UPGRADABLE_VERSION:
+                self._upgrade(conn)
             elif int(row[0]) != SCHEMA_VERSION:
                 raise StoreError(
                     f"store at {self.path!r} has schema version {row[0]}, "
                     f"this build expects {SCHEMA_VERSION}"
                 )
+
+    @classmethod
+    def _upgrade(cls, conn: sqlite3.Connection) -> None:
+        """Bring a v2 store to the current schema in one transaction: drop
+        the tables this build no longer keeps, then bump the version."""
+        conn.execute("BEGIN")
+        stale = [
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+            if name not in TABLES
+            and not name.startswith(("sqlite_", "dataset_fts"))
+        ]
+        for name in stale:
+            conn.execute(f'DROP TABLE "{name}"')
+        cls._set_meta(conn, "schema_version", SCHEMA_VERSION)
 
     # -- connection management -------------------------------------------
     @contextmanager
@@ -346,8 +360,8 @@ class MarketStore:
     # -- writes ------------------------------------------------------------
     def persist_dataset(self, market, name: str) -> None:
         """Persist one accepted (registered or updated) dataset — its
-        relation, snapshot, profiles, buckets, and the market-wide derived
-        state the delta touched — in a single transaction."""
+        relation, snapshot, profiles, and the market-wide derived state
+        the delta touched — in a single transaction."""
         metadata = market.metadata
         index = market.index
         snapshot = metadata.snapshot(name)
@@ -377,9 +391,6 @@ class MarketStore:
             conn.execute(
                 "DELETE FROM column_profiles WHERE dataset = ?", (name,)
             )
-            conn.execute(
-                "DELETE FROM lsh_buckets WHERE dataset = ?", (name,)
-            )
             for position, cp in enumerate(profile.columns):
                 record = column_profile_record(cp)
                 conn.execute(
@@ -394,14 +405,6 @@ class MarketStore:
                         json.dumps(record["categorical"]),
                     ),
                 )
-                for band, key in enumerate(
-                    index.lsh_band_keys(cp.signature)
-                ):
-                    conn.execute(
-                        "INSERT INTO lsh_buckets VALUES (?, ?, ?, ?)",
-                        (name, cp.column, band,
-                         ",".join(str(v) for v in key)),
-                    )
             self._rewrite_relationships(conn, market, name)
             self._finish_delta(conn, market, graph_version)
 
@@ -409,7 +412,7 @@ class MarketStore:
         """Remove one retired dataset and the derived rows that named it."""
         graph_version = market.index.graph_version
         with self._connect() as conn:
-            for table in ("datasets", "column_profiles", "lsh_buckets"):
+            for table in ("datasets", "column_profiles"):
                 conn.execute(
                     f"DELETE FROM {table} WHERE dataset = ?", (name,)
                 )
@@ -607,7 +610,6 @@ class MarketStore:
                 },
                 missing=tuple(md["missing"]),
                 tree=plan.build_tree(market.metadata.relation),
-                engine=market.planner.exec_engine,
             ))
         return _PlanCacheEntry(
             mashups=mashups,

@@ -41,7 +41,7 @@ from .columnar import SCALAR_DTYPES
 from .predicates import Predicate, _bool_mask, _scalar_operand
 from .provenance import times
 from .relation import Relation, _freeze
-from .schema import Column, Schema
+from .schema import Schema
 from .tree import (
     Distinct,
     Extend,

@@ -19,7 +19,6 @@ from repro.discovery.profiler import (
     name_similarity,
     profile_column,
     profile_table,
-    set_columnar_profiling,
 )
 from repro.relation import Column, Relation
 from repro.sketches import CategoricalSummary, MinHash
@@ -229,18 +228,6 @@ def test_profile_signature_equals_minhash_of_raw_values():
         assert profile.column(name).signature.digest() == MinHash.of(
             non_null, num_perm=64
         ).digest()
-
-
-def test_set_columnar_profiling_flips_module_default():
-    relation = random_relation(5)
-    previous = set_columnar_profiling(False)
-    try:
-        scalar_default = profile_table(relation)
-    finally:
-        set_columnar_profiling(previous)
-    assert_profiles_identical(
-        scalar_default, profile_table(relation, columnar=True)
-    )
 
 
 def test_profile_column_reuses_supplied_content_hash():

@@ -11,10 +11,12 @@ of rows is identical (inner equi-joins commute).
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from repro.discovery import (
+    DiscoveryEngine,
     FanoutEstimate,
     IndexBuilder,
     MetadataEngine,
@@ -22,9 +24,8 @@ from repro.discovery import (
     estimate_fanouts,
     profile_table,
 )
-from repro.integration import MashupRequest
+from repro.integration import DoDEngine, MashupRequest
 from repro.integration.plan import MashupPlan, _qualify
-from repro.mashup import MashupBuilder
 from repro.relation import Column, Relation
 
 
@@ -57,11 +58,33 @@ def make_status(n_covered=10):
     )
 
 
-def skew_builder(cost_model: bool, **kwargs) -> MashupBuilder:
-    b = MashupBuilder(min_overlap=0.15, cost_model=cost_model, **kwargs)
-    b.add_dataset(make_orders(), owner="a")
-    b.add_dataset(make_events(), owner="b")
-    b.add_dataset(make_status(), owner="c")
+@dataclass
+class Stack:
+    """Metadata → index → discovery → DoD, wired by hand so each test sets
+    the index threshold and the planner knobs on the layer that owns them."""
+
+    metadata: MetadataEngine
+    index: IndexBuilder
+    discovery: DiscoveryEngine
+    dod: DoDEngine
+
+    def build(self, request: MashupRequest):
+        return self.dod.build_mashups(request)
+
+
+def wire(min_overlap: float, **dod_kwargs) -> Stack:
+    metadata = MetadataEngine()
+    index = IndexBuilder(metadata, min_overlap=min_overlap)
+    discovery = DiscoveryEngine(metadata, index)
+    dod = DoDEngine(metadata, index, discovery, **dod_kwargs)
+    return Stack(metadata, index, discovery, dod)
+
+
+def skew_stack(cost_model: bool, **kwargs) -> Stack:
+    b = wire(0.15, cost_model=cost_model, **kwargs)
+    b.metadata.register(make_orders(), owner="a")
+    b.metadata.register(make_events(), owner="b")
+    b.metadata.register(make_status(), owner="c")
     return b
 
 
@@ -144,8 +167,8 @@ def test_join_graph_edges_carry_fanouts():
 # ---------------------------------------------------------------------------
 
 def test_cost_plan_orders_selective_join_first():
-    cost = skew_builder(cost_model=True)
-    hops = skew_builder(cost_model=False)
+    cost = skew_stack(cost_model=True)
+    hops = skew_stack(cost_model=False)
     m_cost = cost.build(REQUEST)[0]
     m_hops = hops.build(REQUEST)[0]
     assert [j.dataset for j in m_cost.plan.joins] == ["status", "events"]
@@ -155,8 +178,8 @@ def test_cost_plan_orders_selective_join_first():
 
 
 def test_cost_plan_halves_peak_with_identical_output():
-    cost = skew_builder(cost_model=True)
-    hops = skew_builder(cost_model=False)
+    cost = skew_stack(cost_model=True)
+    hops = skew_stack(cost_model=False)
     m_cost = cost.build(REQUEST)[0]
     m_hops = hops.build(REQUEST)[0]
     assert row_bag(m_cost) == row_bag(m_hops)
@@ -170,7 +193,7 @@ def test_cost_plan_halves_peak_with_identical_output():
 
 
 def test_join_steps_record_fanout_estimates():
-    cost = skew_builder(cost_model=True)
+    cost = skew_stack(cost_model=True)
     plan = cost.build(REQUEST)[0].plan
     by_ds = {j.dataset: j for j in plan.joins}
     assert by_ds["events"].fanout == pytest.approx(5.0, rel=0.35)
@@ -179,7 +202,7 @@ def test_join_steps_record_fanout_estimates():
 
 
 def test_cardinality_estimates_recorded():
-    cost = skew_builder(cost_model=True)
+    cost = skew_stack(cost_model=True)
     mashup = cost.build(REQUEST)[0]
     estimates = cost.dod.last_stats.cardinality_estimates
     assert estimates
@@ -222,10 +245,10 @@ def test_property_cost_matches_heuristic_with_no_worse_peak(seed):
     ])
     builders = {}
     for flag in (True, False):
-        b = MashupBuilder(min_overlap=0.1, cost_model=flag)
-        b.add_dataset(orders, owner="a")
-        b.add_dataset(events, owner="b")
-        b.add_dataset(status, owner="c")
+        b = wire(0.1, cost_model=flag)
+        b.metadata.register(orders, owner="a")
+        b.metadata.register(events, owner="b")
+        b.metadata.register(status, owner="c")
         builders[flag] = b
     m_cost = builders[True].build(request)
     m_hops = builders[False].build(request)
@@ -245,7 +268,7 @@ def test_property_cost_matches_heuristic_with_no_worse_peak(seed):
 # ---------------------------------------------------------------------------
 
 def test_join_paths_memoized_across_builds():
-    b = skew_builder(cost_model=True, plan_cache=False)
+    b = skew_stack(cost_model=True, plan_cache=False)
     b.build(REQUEST)
     first = b.dod.last_stats
     assert first.path_cache_misses > 0
@@ -256,11 +279,11 @@ def test_join_paths_memoized_across_builds():
 
 
 def test_path_memo_invalidated_by_graph_change():
-    b = skew_builder(cost_model=True, plan_cache=False)
+    b = skew_stack(cost_model=True, plan_cache=False)
     b.build(REQUEST)
     # unrelated registration still bumps the graph version: memoized
     # paths must not survive into the new graph
-    b.add_dataset(
+    b.metadata.register(
         Relation("misc", [Column("zz", "str")], [("x",), ("y",)]),
         owner="d",
     )
@@ -269,8 +292,8 @@ def test_path_memo_invalidated_by_graph_change():
 
 
 def test_hop_mode_plans_unchanged_by_memoization():
-    plain = skew_builder(cost_model=False)
-    memo = skew_builder(cost_model=False, plan_cache=False)
+    plain = skew_stack(cost_model=False)
+    memo = skew_stack(cost_model=False, plan_cache=False)
     memo.build(REQUEST)
     a = plain.build(REQUEST)[0].plan.describe()
     b = memo.build(REQUEST)[0].plan.describe()
@@ -282,7 +305,7 @@ def test_hop_mode_plans_unchanged_by_memoization():
 # ---------------------------------------------------------------------------
 
 def test_path_memo_cleared_on_detach():
-    b = skew_builder(cost_model=True, plan_cache=False)
+    b = skew_stack(cost_model=True, plan_cache=False)
     b.build(REQUEST)
     assert b.dod._path_cache  # warm after a cost-model build
     b.dod.detach()
@@ -295,8 +318,8 @@ def test_path_memo_not_served_after_reattach_to_other_index():
     """Re-pointing an engine at a *different* index whose graph-version
     counter happens to coincide must not serve the old graph's memoized
     paths — the memo is keyed by index identity, not just version."""
-    a = skew_builder(cost_model=True, plan_cache=False)
-    b = skew_builder(cost_model=True, plan_cache=False)
+    a = skew_stack(cost_model=True, plan_cache=False)
+    b = skew_stack(cost_model=True, plan_cache=False)
     a.build(REQUEST)
     b.build(REQUEST)
     # identically-built stacks: the version counters coincide, which is
@@ -319,18 +342,18 @@ def test_path_memo_respects_cost_model_toggle():
     """The memo key includes the connector mode: toggling ``cost_model``
     on a live engine must answer exactly like a fresh engine in that
     mode, not from the other mode's memoized paths."""
-    b = skew_builder(cost_model=True, plan_cache=False)
+    b = skew_stack(cost_model=True, plan_cache=False)
     b.build(REQUEST)
     b.dod.cost_model = False
     toggled = b.build(REQUEST)[0].plan.describe()
-    fresh = skew_builder(
+    fresh = skew_stack(
         cost_model=False, plan_cache=False
     ).build(REQUEST)[0].plan.describe()
     assert toggled == fresh
     # and back: the cost-model answer is also mode-faithful
     b.dod.cost_model = True
     again = b.build(REQUEST)[0].plan.describe()
-    oracle = skew_builder(
+    oracle = skew_stack(
         cost_model=True, plan_cache=False
     ).build(REQUEST)[0].plan.describe()
     assert again == oracle

@@ -15,13 +15,11 @@ from repro.errors import (
     InvalidRequestError,
     LicenseDowngradeError,
     MarketError,
-    ReproDeprecationWarning,
     UnknownParticipantError,
 )
-from repro.integration import DoDEngine, MashupRequest
+from repro.integration import MashupRequest
 from repro.market import Arbiter, BuyerPlatform, License, LicenseKind
 from repro.mashup import MashupBuilder
-from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
 from repro.relation import Column, Relation
 from repro.wtp import PriceCurve, QueryCompletenessTask, WTPFunction
 
@@ -247,7 +245,8 @@ def test_plan_cache_invalidated_by_any_delta(delta):
 
 def test_plan_cache_results_identical_to_uncached_planner():
     cached = DataMarket(internal_market())
-    uncached = DataMarket(internal_market(), plan_cache=False)
+    uncached = DataMarket(internal_market())
+    uncached.planner.detach()  # plan cache off
     for market in (cached, uncached):
         market.register_dataset(make_dataset("ds_a", ["alpha"]), seller="s0")
         market.register_dataset(
@@ -336,7 +335,9 @@ def test_facade_equals_manual_wiring_over_random_lifecycle(seed):
     through Arbiter + engines with the cache off."""
     rng = np.random.default_rng(seed)
     market = DataMarket(internal_market())
-    manual = Arbiter(internal_market(), builder=MashupBuilder(plan_cache=False))
+    builder = MashupBuilder()
+    builder.dod.detach()  # plan cache off
+    manual = Arbiter(internal_market(), builder=builder)
     live: dict[str, str] = {}  # dataset -> seller
     next_id = 0
     for b in ("b0", "b1"):
@@ -556,22 +557,3 @@ def test_exclusive_cap_shrink_below_holders_rejected():
         license=License(LicenseKind.EXCLUSIVE, max_licensees=2),
     )
     assert reg.licensees_of("ds") == ["b1", "b2"]
-
-
-# ---------------------------------------------------------------------------
-# deprecated manual wiring warns (and the test suite escalates it)
-# ---------------------------------------------------------------------------
-
-def test_add_datasets_is_deprecated():
-    builder = MashupBuilder()
-    with pytest.warns(ReproDeprecationWarning):
-        builder.add_datasets([make_dataset("ds_a", ["alpha"])])
-
-
-def test_implicit_dod_discovery_wiring_is_deprecated():
-    engine = MetadataEngine(num_perm=16)
-    index = IndexBuilder(engine)
-    with pytest.warns(ReproDeprecationWarning):
-        DoDEngine(engine, index)
-    # explicit wiring stays silent
-    DoDEngine(engine, index, DiscoveryEngine(engine, index))

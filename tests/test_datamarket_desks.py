@@ -59,15 +59,6 @@ def test_plan_result_is_lazy_until_materialized():
     assert oracle.provenance == relations[0].provenance
 
 
-def test_exec_engine_knob_threads_through():
-    market = DataMarket(internal_market(), exec_engine="iteration")
-    assert market.exec_engine == "iteration"
-    assert market.planner.exec_engine == "iteration"
-    market.register_dataset(make_dataset("ds_a", ["alpha"]), seller="s0")
-    result = market.plan(["alpha"], key="entity_id")
-    assert market.materialize(result)[0].columns == ("entity_id", "alpha")
-
-
 # ---------------------------------------------------------------------------
 # negotiation
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
-from repro.errors import IntegrationError, SimulationError
+from repro.errors import IntegrationError
 from repro.integration import DoDEngine, MashupRequest
 from repro.mashup import MashupBuilder
 from repro.relation import Column, Relation
@@ -199,11 +199,12 @@ def test_misaligned_composite_falls_back_to_primary_pair():
         [Column("id", "int"), Column("code", "int"), Column("qty", "float")],
         [(i, (i + 1) % n, float(i) * 2.0) for i in range(n)],
     )
-    for exhaustive in (False, True):
-        builder = MashupBuilder(exhaustive=exhaustive)
-        builder.add_dataset(left)
-        builder.add_dataset(right)
-        mashups = builder.build(
+    engine = MetadataEngine()
+    planners = planner_pair(engine)
+    engine.register(left)
+    engine.register(right)
+    for dod in planners:
+        mashups = dod.build_mashups(
             MashupRequest(attributes=["price", "qty"], key="id")
         )
         assert mashups, "misaligned composite must not lose the mashup"
@@ -213,47 +214,25 @@ def test_misaligned_composite_falls_back_to_primary_pair():
         assert all(not step.extra_on for step in joined.plan.joins)
 
 
-def test_builder_and_fullstack_expose_planner_choice():
+def test_planner_choice_lives_on_the_dod_engine():
+    """The enumerator is chosen where it is declared — on ``DoDEngine`` —
+    and the choice changes planning work, never the plans."""
     from repro.datagen import make_classification_world
-    from repro.market import internal_market
-    from repro.simulator import simulate_market_deployment, uniform_values
-
-    exhaustive = MashupBuilder(exhaustive=True)
-    assert exhaustive.dod.exhaustive
-    with pytest.raises(IntegrationError):
-        MashupBuilder(beam_width=0)
 
     world = make_classification_world(
         n_entities=40, feature_weights=(1.0, 1.0),
         dataset_features=((0,), (1,)), seed=11,
     )
-    results = {}
-    for planner in ("beam", "exhaustive"):
-        result = simulate_market_deployment(
-            internal_market(),
-            world.datasets,
-            wanted_attributes=["f0", "f1"],
-            value_sampler=uniform_values(10, 100),
-            strategy_mix={"truthful": 1.0},
-            n_buyers=3,
-            n_rounds=2,
-            seed=5,
-            planner=planner,
-        )
-        results[planner] = (
-            result.revenue, result.transactions, result.welfare
-        )
-    # planner choice must not change market outcomes, only planning work
-    assert results["beam"] == results["exhaustive"]
-    with pytest.raises(SimulationError):
-        simulate_market_deployment(
-            internal_market(),
-            world.datasets,
-            wanted_attributes=["f0"],
-            value_sampler=uniform_values(10, 100),
-            strategy_mix={"truthful": 1.0},
-            planner="dfs",
-        )
+    engine = MetadataEngine()
+    beam, oracle = planner_pair(engine)
+    assert oracle.exhaustive and not beam.exhaustive
+    with pytest.raises(IntegrationError):
+        DoDEngine(engine, beam.index, beam.discovery, beam_width=0)
+    for dataset in world.datasets:
+        engine.register(dataset)
+    request = MashupRequest(attributes=["f0", "f1"], key="entity_id")
+    assert_planners_agree(beam, oracle, request)
+    assert canonical_mashups(beam, request)
 
 
 def test_beam_width_caps_frontier_but_keeps_best_plan():

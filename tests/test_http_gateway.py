@@ -115,7 +115,6 @@ def test_every_market_error_maps_to_exactly_one_status():
 
 def test_key_statuses_are_semantically_right():
     from repro.errors import (
-        AuditError,
         LedgerError,
         LicenseDowngradeError,
         LicensingError,

@@ -2,13 +2,15 @@
 
 The property under test is *bit-identical replay*: a market cold-started
 from the store must answer exactly like the process that wrote it — same
-``graph_version``, same column profiles (signatures included), same LSH
-buckets, same join candidates and graph edges with their fan-out
-estimates, same search and plan results.  Plus the service reads the store
-answers directly: keyset-cursor listing and FTS dataset search.
+``graph_version``, same column profiles (signatures included), same join
+candidates and graph edges with their fan-out estimates, same search and
+plan results.  Plus the service reads the store answers directly:
+keyset-cursor listing and FTS dataset search.
 """
 
 from __future__ import annotations
+
+import sqlite3
 
 import numpy as np
 import pytest
@@ -124,28 +126,83 @@ def test_replayed_search_and_plan_answers_match(tmp_path, seed):
         assert a.relation.rows == b.relation.rows
 
 
-def test_lsh_buckets_table_matches_live_banding(tmp_path):
-    """The persisted band keys are exactly the ones the live index derives
-    from each signature — buckets reconstruct deterministically."""
-    live, path = seeded_store_market(tmp_path)
-    import sqlite3
+#: the one table a v2 store holds beyond the v3 schema (its DDL as v2
+#: shipped it, plus a row): per-band LSH keys, written on every delta,
+#: never read
+V2_ONLY_DDL = """
+CREATE TABLE lsh_buckets (
+    dataset     TEXT NOT NULL,
+    column_name TEXT NOT NULL,
+    band        INTEGER NOT NULL,
+    band_key    TEXT NOT NULL,
+    PRIMARY KEY (dataset, column_name, band)
+);
+INSERT INTO lsh_buckets VALUES ('orders', 'order_id', 0, '1');
+"""
 
+
+def set_schema_version(path, version: int, extra_ddl: str = "") -> None:
     conn = sqlite3.connect(path)
-    stored = {
-        (ds, col, band): key
-        for ds, col, band, key in conn.execute(
-            "SELECT dataset, column_name, band, band_key FROM lsh_buckets"
+    try:
+        conn.executescript(extra_ddl)
+        conn.execute(
+            "UPDATE store_meta SET value = ? WHERE key = 'schema_version'",
+            (str(version),),
         )
-    }
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def table_names(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        conn.close()
+
+
+def test_v2_store_upgrades_in_place_and_replays_bit_identical(tmp_path):
+    """A store written by the v2 schema opens under v3: the table v3 no
+    longer keeps is dropped, the version reads 3, and the cold start
+    answers exactly like the live market that wrote it."""
+    live, path = seeded_store_market(tmp_path)
+    set_schema_version(path, 2, V2_ONLY_DDL)
+
+    replayed = DataMarket(store=str(path))
+    assert "lsh_buckets" not in table_names(path)
+    conn = sqlite3.connect(path)
+    (version,) = conn.execute(
+        "SELECT value FROM store_meta WHERE key = 'schema_version'"
+    ).fetchone()
     conn.close()
-    expected = {}
+    assert int(version) == 3
+    assert replayed.graph_version == live.graph_version
+    assert replayed.datasets == live.datasets
     for ds in live.datasets:
-        for cp in live.metadata.snapshot(ds).profile.columns:
-            for band, key in enumerate(live.index.lsh_band_keys(cp.signature)):
-                expected[(ds, cp.column, band)] = ",".join(
-                    str(v) for v in key
-                )
-    assert stored == expected
+        assert profile_record(replayed, ds) == profile_record(live, ds)
+        assert replayed.index.dataset_candidates(ds) == \
+            live.index.dataset_candidates(ds)
+        assert replayed.index.dataset_edges(ds) == \
+            live.index.dataset_edges(ds)
+    assert (
+        replayed.index.component_fingerprints()
+        == live.index.component_fingerprints()
+    )
+    # the upgraded store keeps working: a delta persists and replays
+    replayed.retire_dataset("cities")
+    assert DataMarket(store=str(path)).datasets == ["customers", "orders"]
+
+    # any other older version is still refused
+    old = tmp_path / "v1.db"
+    MarketStore(old)
+    set_schema_version(old, 1)
+    with pytest.raises(StoreError, match="schema version 1"):
+        MarketStore(old)
 
 
 def test_updates_and_retires_replay_to_final_state(tmp_path):
@@ -326,13 +383,6 @@ def test_fts_search_finds_by_column_and_semantic(tmp_path):
 def test_schema_version_mismatch_refused(tmp_path):
     path = tmp_path / "market.db"
     MarketStore(path)
-    import sqlite3
-
-    conn = sqlite3.connect(path)
-    conn.execute(
-        "UPDATE store_meta SET value = '999' WHERE key = 'schema_version'"
-    )
-    conn.commit()
-    conn.close()
+    set_schema_version(path, 999)
     with pytest.raises(StoreError):
         MarketStore(path)

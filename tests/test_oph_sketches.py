@@ -31,7 +31,7 @@ import pytest
 from repro import DataMarket
 from repro.discovery.profiler import profile_table
 from repro.errors import InvalidRequestError
-from repro.platform import MarketStore, StoreError
+from repro.platform import StoreError
 from repro.relation import Column, Relation
 from repro.relation.columnar import PACK_WIDTH, pack_value, unpack_value
 from repro.sketches import MinHash

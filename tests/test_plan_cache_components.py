@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro import DataMarket, internal_market
+from repro.discovery import DiscoveryEngine, IndexBuilder, MetadataEngine
 from repro.errors import IntegrationError
+from repro.integration import DoDEngine
 from repro.relation import Column, Relation
 
 #: per-component name schemes chosen (and verified by the similarity
@@ -45,12 +47,20 @@ def make_ds(stem: str, i: int, seed: int = 0) -> Relation:
 
 def seeded_markets():
     cached = DataMarket(internal_market())
-    uncached = DataMarket(internal_market(), plan_cache=False)
+    uncached = DataMarket(internal_market())
+    uncached.planner.detach()  # plan cache off
     for market in (cached, uncached):
         for stem in STEMS:
             for i in range(3):
                 market.register_dataset(make_ds(stem, i), seller=f"s_{stem}")
     return cached, uncached
+
+
+def small_cache_market() -> DataMarket:
+    """A market whose planner keeps at most two plan-cache entries."""
+    market = DataMarket(internal_market())
+    market.planner.plan_cache_size = 2
+    return market
 
 
 def canonical(result):
@@ -164,7 +174,7 @@ def test_new_matching_column_in_foreign_component_evicts():
 # ---------------------------------------------------------------------------
 
 def test_lru_bound_evicts_oldest_entry():
-    market = DataMarket(internal_market(), plan_cache_size=2)
+    market = small_cache_market()
     for stem in STEMS:
         for i in range(2):
             market.register_dataset(make_ds(stem, i), seller=f"s_{stem}")
@@ -185,7 +195,7 @@ def test_lru_bound_evicts_oldest_entry():
 
 
 def test_lru_hit_refreshes_recency():
-    market = DataMarket(internal_market(), plan_cache_size=2)
+    market = small_cache_market()
     for stem in STEMS:
         market.register_dataset(make_ds(stem, 0), seller=f"s_{stem}")
     market.plan(["user0"], key="userkey")
@@ -197,8 +207,12 @@ def test_lru_hit_refreshes_recency():
 
 
 def test_plan_cache_size_validated():
+    engine = MetadataEngine()
+    index = IndexBuilder(engine)
     with pytest.raises(IntegrationError):
-        DataMarket(internal_market(), plan_cache_size=0)
+        DoDEngine(
+            engine, index, DiscoveryEngine(engine, index), plan_cache_size=0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +300,7 @@ def test_lru_hot_entry_survives_churn_at_capacity():
     """Regression guard on hit recency: a hot entry re-touched between
     inserts at a full cache must survive arbitrary insert/evict churn —
     only the cold entries rotate out."""
-    market = DataMarket(internal_market(), plan_cache_size=2)
+    market = small_cache_market()
     for stem in STEMS:
         for i in range(2):
             market.register_dataset(make_ds(stem, i), seller=f"s_{stem}")

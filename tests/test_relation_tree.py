@@ -13,11 +13,7 @@ import random
 
 import pytest
 
-from repro.errors import (
-    ReproDeprecationWarning,
-    SchemaError,
-    UnknownColumnError,
-)
+from repro.errors import SchemaError, UnknownColumnError
 from repro.relation import (
     Column,
     ColumnarEngine,
@@ -152,13 +148,11 @@ def test_unknown_engine_name_rejected():
         get_engine("vectorized")
 
 
-def test_rows_keyword_is_deprecated():
-    # positional rows are the supported entry point: no warning
-    Relation("d", [Column("x", "int")], [(1,)])
-    # the mutation-era keyword still works but warns
-    with pytest.warns(ReproDeprecationWarning, match="rows"):
-        rel = Relation("d", [Column("x", "int")], rows=[(1,), (2,)])
+def test_rows_are_positional_only():
+    rel = Relation("d", [Column("x", "int")], [(1,), (2,)])
     assert rel.rows == ((1,), (2,))
+    with pytest.raises(TypeError, match="positional-only"):
+        Relation("d", [Column("x", "int")], rows=[(1,)])
     with pytest.raises(TypeError, match="unexpected keyword"):
         Relation("d", [Column("x", "int")], bogus=[(1,)])
 
