@@ -215,7 +215,7 @@ class IndexBuilder:
         self._pairs_of = {p.dataset: set() for p in profiles}
         for i, a in enumerate(columns):
             for b in columns[i + 1 :]:
-                if a.dataset == b.dataset:
+                if a.dataset == b.dataset or not _may_join(a, b):
                     continue
                 cand = self._score_pair(a, b)
                 if cand is not None:
@@ -280,8 +280,9 @@ class IndexBuilder:
                 if other_ds == name:
                     continue
                 other = self._profiles[other_ds].column(other_col)
-                a, b = self._oriented(col, other)
-                cand = self._score_pair(a, b)
+                if not _may_join(col, other):
+                    continue
+                cand = self._score_pair(*self._oriented(col, other))
                 if cand is not None:
                     self._store_candidate(cand)
                     touched.add(other_ds)
@@ -338,13 +339,12 @@ class IndexBuilder:
         return (a, b) if ka < kb else (b, a)
 
     def _column_index(self, col: ColumnProfile) -> int:
-        columns = self._profiles[col.dataset].columns
-        for i, c in enumerate(columns):
-            if c.column == col.column:
-                return i
-        raise DiscoveryError(
-            f"column {col.column!r} missing from {col.dataset!r} profile"
-        )
+        try:
+            return self._profiles[col.dataset].position(col.column)
+        except KeyError:
+            raise DiscoveryError(
+                f"column {col.column!r} missing from {col.dataset!r} profile"
+            ) from None
 
     def _store_candidate(self, cand: JoinCandidate) -> None:
         pair_key = (cand.left_dataset, cand.left_column,
@@ -435,38 +435,29 @@ class IndexBuilder:
     def _score_pair(
         self, a: ColumnProfile, b: ColumnProfile
     ) -> JoinCandidate | None:
-        if not _dtypes_compatible(a.dtype, b.dtype):
-            return None
-        joinable = a.looks_like_key or b.looks_like_key
+        """The candidate an oriented pair that passed :func:`_may_join`
+        forms, if any."""
         overlap = a.signature.jaccard(b.signature)
-        pk_side = _infer_pk_side(a, b, overlap)
+        if overlap >= self.min_overlap:
+            score, evidence = overlap, "overlap"
+        elif a.semantic is not None and a.semantic == b.semantic:
+            score, evidence = max(overlap, 0.75), "semantic"
+        elif overlap > 0.1 and (
+            name_sim := name_similarity(a.column, b.column)
+        ) >= self.min_name_similarity:
+            score, evidence = 0.5 * name_sim + 0.5 * overlap, "name"
+        else:
+            return None
         fanout = estimate_fanouts(
             a, b,
             self._profiles[a.dataset].n_rows,
             self._profiles[b.dataset].n_rows,
             overlap,
         )
-        if joinable and overlap >= self.min_overlap:
-            return JoinCandidate(
-                a.dataset, a.column, b.dataset, b.column, overlap, "overlap",
-                pk_side, fanout,
-            )
-        if (
-            a.semantic is not None
-            and a.semantic == b.semantic
-            and joinable
-        ):
-            return JoinCandidate(
-                a.dataset, a.column, b.dataset, b.column,
-                max(overlap, 0.75), "semantic", pk_side, fanout,
-            )
-        name_sim = name_similarity(a.column, b.column)
-        if joinable and name_sim >= self.min_name_similarity and overlap > 0.1:
-            return JoinCandidate(
-                a.dataset, a.column, b.dataset, b.column,
-                0.5 * name_sim + 0.5 * overlap, "name", pk_side, fanout,
-            )
-        return None
+        return JoinCandidate(
+            a.dataset, a.column, b.dataset, b.column, score, evidence,
+            _infer_pk_side(a, b, overlap), fanout,
+        )
 
     def _sorted_candidates(self) -> list[JoinCandidate]:
         if self._sorted is None:
@@ -699,14 +690,7 @@ class IndexBuilder:
         (pure function of the signature and the banding configuration, so
         a replayed signature must band exactly like the live one)."""
         bands = self.lsh_bands or signature.num_perm
-        rows = signature.num_perm // bands
-        return [
-            tuple(
-                int(x)
-                for x in signature.signature[b * rows : (b + 1) * rows]
-            )
-            for b in range(bands)
-        ]
+        return LSHIndex(signature.num_perm, bands).band_keys(signature)
 
     def restore_state(
         self,
@@ -743,6 +727,15 @@ class IndexBuilder:
         self._components_version = -1
         self._fingerprints_version = -1
         self._stale = False
+
+
+def _may_join(a: ColumnProfile, b: ColumnProfile) -> bool:
+    """The symmetric gate of every candidate: compatible dtypes and at least
+    one key-like side.  Checked before any signature work, since most
+    column pairs (e.g. two low-distinct categorical columns) fail it."""
+    return (a.looks_like_key or b.looks_like_key) and _dtypes_compatible(
+        a.dtype, b.dtype
+    )
 
 
 def _dtypes_compatible(a: str, b: str) -> bool:

@@ -77,6 +77,10 @@ class TableProfile:
         # wide tables
         return {c.column: c for c in self.columns}
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {c.column: i for i, c in enumerate(self.columns)}
+
     def column(self, name: str) -> ColumnProfile:
         try:
             return self._by_name[name]
@@ -84,6 +88,11 @@ class TableProfile:
             raise KeyError(
                 f"no profile for column {name!r} of {self.dataset!r}"
             ) from None
+
+    def position(self, name: str) -> int:
+        """The column's index in the schema order (O(1) after the first
+        call; ``KeyError`` for an unknown column)."""
+        return self._positions[name]
 
 
 def column_profile_record(profile: ColumnProfile) -> dict:

@@ -19,6 +19,9 @@ exactly the concerns a network edge owns and nothing else:
 * **Validation.**  Declarative per-route request schemas reject malformed
   bodies as typed :class:`~repro.errors.InvalidRequestError` (422) before
   any engine code runs.
+* **Framing.**  A non-integer or negative ``Content-Length`` gets a 400,
+  and a body that stops short of it a 408 once the handler's socket
+  timeout expires; both close the connection.
 * **Error taxonomy.**  One mapping (:data:`STATUS_BY_ERROR`) from the
   :class:`~repro.errors.MarketError` hierarchy to HTTP statuses; every
   error response is a structured JSON body carrying the error type, the
@@ -498,6 +501,10 @@ _DATASET_SPEC = {
 
 class _GatewayServer(ThreadingHTTPServer):
     daemon_threads = True
+    #: listen backlog.  socketserver's default of 5 overflows as soon as a
+    #: few clients open a connection per request, and each dropped SYN
+    #: costs the client a ~1 s retransmit
+    request_queue_size = 128
     #: set by MarketGateway.start(); handlers reach the gateway through it
     gateway: "MarketGateway"
 
@@ -636,22 +643,10 @@ class MarketGateway:
                 extra_headers["Retry-After"] = str(
                     max(1, math.ceil(retry_after))
                 )
-            result = {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                },
-                "as_of": self.service.market.graph_version,
-            }
+            result = self._error_body(exc)
         except Exception as exc:  # off-taxonomy bug: opaque 500, not a hang
             status = 500
-            result = {
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                },
-                "as_of": self.service.market.graph_version,
-            }
+            result = self._error_body(exc)
         finally:
             elapsed = (time.perf_counter() - start) * 1000.0
             with self._stats_lock:
@@ -661,6 +656,19 @@ class MarketGateway:
             with self._stats_lock:
                 self._errors[status] += 1
         return status, result, extra_headers
+
+    def refuse(self, status: int, message: str) -> dict:
+        """Error body for a request the socket handler refuses before
+        routing (unparseable framing); counted like any other error."""
+        with self._stats_lock:
+            self._errors[status] += 1
+        return self._error_body(InvalidRequestError(message))
+
+    def _error_body(self, exc: Exception) -> dict:
+        return {
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "as_of": self.service.market.graph_version,
+        }
 
     def _match(self, method: str, path: str):
         path_exists = False
@@ -945,14 +953,46 @@ def _make_handler() -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server: _GatewayServer
+        #: seconds any one socket read or write may block: a client that
+        #: sends less body than its Content-Length (or goes idle) is cut
+        #: off instead of pinning a handler thread forever
+        timeout = 30.0
 
         def _dispatch(self, method: str) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            raw = (self.headers.get("Content-Length") or "0").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                self._refuse(
+                    400,
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {raw!r}",
+                )
+                return
+            length = int(raw)
+            try:
+                body = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                body = b""
+            if len(body) < length:
+                self._refuse(
+                    408,
+                    f"request body ended short of its Content-Length "
+                    f"({length} bytes)",
+                )
+                return
             status, payload, extra = self.server.gateway.handle(
                 method, self.path, self.headers, body,
                 client=self.client_address[0],
             )
+            self._respond(status, payload, extra)
+
+        def _refuse(self, status: int, message: str) -> None:
+            """Answer a malformed request and drop the connection: its
+            framing is lost, so no further request on it can be parsed."""
+            self.close_connection = True
+            payload = self.server.gateway.refuse(status, message)
+            self._respond(status, payload, {"Connection": "close"})
+
+        def _respond(self, status: int, payload: dict, extra: dict) -> None:
             data = json.dumps(payload, default=str).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -344,8 +344,9 @@ class MarketService:
         }
 
     def close(self, timeout: float | None = 60.0) -> None:
-        """Drain the queue, stop the worker, and persist the plan cache
-        (store-backed markets) so a restart starts warm.  Idempotent."""
+        """Drain the queue, stop the worker, persist the plan cache
+        (store-backed markets) so a restart starts warm, and close the
+        store.  Idempotent."""
         if self._closed:
             return
         self.flush(timeout)
@@ -354,6 +355,7 @@ class MarketService:
         self._worker.join(timeout)
         if self.market.store is not None:
             self.market.persist_plan_cache()
+            self.market.store.close()
 
     def __enter__(self) -> "MarketService":
         return self

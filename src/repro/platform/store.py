@@ -22,8 +22,10 @@ Durability follows the usual SQLite service recipe: WAL journaling (readers
 never block the single writer), ``synchronous=NORMAL`` (safe with WAL; an
 OS crash can lose the last transaction but never corrupts), a generous
 ``busy_timeout``, and one transaction per delta so a kill -9 between deltas
-leaves a consistent prefix.  Connections are opened per call: the store
-object itself is trivially shareable across threads.
+leaves a consistent prefix.  Each store holds **one** long-lived connection,
+opened with its PRAGMAs set once and shared by every thread under one lock;
+SQLite's auto-checkpoint folds the WAL back into the database as it grows,
+and :meth:`MarketStore.close` checkpoints what is left.
 
 On top of the replay tables the store offers **service reads**: FTS5-backed
 free-text dataset search (graceful LIKE fallback when the linked SQLite
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import pickle
 import sqlite3
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -68,6 +71,17 @@ SCHEMA_VERSION = 3
 _UPGRADABLE_VERSION = 2
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
+
+#: set once per connection.  ``cache_size`` bounds the page cache at
+#: 256 KiB: a connection that lives as long as the process would otherwise
+#: keep growing it, and the hot pages stay in the OS cache anyway
+_PRAGMAS = (
+    "PRAGMA journal_mode=WAL",
+    "PRAGMA synchronous=NORMAL",
+    "PRAGMA busy_timeout=30000",
+    "PRAGMA foreign_keys=ON",
+    "PRAGMA cache_size=-256",
+)
 
 #: valid ``list_datasets`` sort keys -> (order column, cursor-value parser,
 #: page-row field the next cursor is minted from).  The dataset name is the
@@ -224,13 +238,27 @@ class MarketStore:
     The façade drives it: every accepted/retired dataset is persisted in
     its own transaction, and ``DataMarket(store=...)`` cold-starts by
     calling :meth:`replay_into`.  The store also answers the service
-    layer's listing/search reads directly from SQL.
+    layer's listing/search reads directly from SQL.  One connection serves
+    every method, serialized by a lock, until :meth:`close`.
     """
 
     def __init__(self, path: str | Path):
         self.path = str(path)
         self._fts = True
-        with self._connect() as conn:
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = sqlite3.connect(
+            self.path, timeout=30.0, check_same_thread=False
+        )
+        try:
+            for pragma in _PRAGMAS:
+                self._conn.execute(pragma)
+            self._init_schema()
+        except BaseException:
+            self.close()
+            raise
+
+    def _init_schema(self) -> None:
+        with self._transaction() as conn:
             conn.executescript(_DDL)
             try:
                 conn.executescript(_FTS_DDL)
@@ -272,20 +300,23 @@ class MarketStore:
 
     # -- connection management -------------------------------------------
     @contextmanager
-    def _connect(self):
-        """One short-lived connection per call: commit-on-success (so each
-        delta is one transaction — a kill between deltas leaves a
-        consistent prefix), always closed on the way out."""
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.execute("PRAGMA foreign_keys=ON")
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+    def _transaction(self):
+        """The store's connection, held under its lock for one transaction:
+        commit on success, roll back on error (so each delta is one
+        transaction — a kill between deltas leaves a consistent prefix)."""
+        with self._lock:
+            if self._conn is None:
+                raise StoreError(f"store at {self.path!r} is closed")
+            with self._conn:
+                yield self._conn
+
+    def close(self) -> None:
+        """Checkpoint the WAL and release the connection.  Idempotent; any
+        later use of the store raises :class:`StoreError`."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     @property
     def has_fts(self) -> bool:
@@ -310,11 +341,11 @@ class MarketStore:
 
     def graph_version(self) -> int:
         """The persisted join-graph version (0 for an empty store)."""
-        with self._connect() as conn:
+        with self._transaction() as conn:
             return int(self._get_meta(conn, "graph_version", 0))
 
     def dataset_count(self) -> int:
-        with self._connect() as conn:
+        with self._transaction() as conn:
             return conn.execute("SELECT COUNT(*) FROM datasets").fetchone()[0]
 
     # -- payload codecs ----------------------------------------------------
@@ -357,6 +388,18 @@ class MarketStore:
         policy = ContextualIntegrityPolicy(frozenset(data["policy"]))
         return license, policy
 
+    @staticmethod
+    def _profile_row(name: str, position: int, cp) -> tuple:
+        record = column_profile_record(cp)
+        return (
+            name, position, cp.column, cp.dtype, cp.semantic,
+            cp.distinct_fraction, cp.content_hash,
+            cp.signature.scheme, cp.signature.to_bytes(),
+            None if record["numeric"] is None
+            else json.dumps(record["numeric"]),
+            json.dumps(record["categorical"]),
+        )
+
     # -- writes ------------------------------------------------------------
     def persist_dataset(self, market, name: str) -> None:
         """Persist one accepted (registered or updated) dataset — its
@@ -376,7 +419,7 @@ class MarketStore:
         schema_json = json.dumps(
             [[c.name, c.dtype, c.semantic] for c in relation.schema]
         )
-        with self._connect() as conn:
+        with self._transaction() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO datasets VALUES "
                 "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
@@ -391,27 +434,21 @@ class MarketStore:
             conn.execute(
                 "DELETE FROM column_profiles WHERE dataset = ?", (name,)
             )
-            for position, cp in enumerate(profile.columns):
-                record = column_profile_record(cp)
-                conn.execute(
-                    "INSERT INTO column_profiles VALUES "
-                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        name, position, cp.column, cp.dtype, cp.semantic,
-                        cp.distinct_fraction, cp.content_hash,
-                        cp.signature.scheme, cp.signature.to_bytes(),
-                        None if record["numeric"] is None
-                        else json.dumps(record["numeric"]),
-                        json.dumps(record["categorical"]),
-                    ),
-                )
+            conn.executemany(
+                "INSERT INTO column_profiles VALUES "
+                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                [
+                    self._profile_row(name, position, cp)
+                    for position, cp in enumerate(profile.columns)
+                ],
+            )
             self._rewrite_relationships(conn, market, name)
             self._finish_delta(conn, market, graph_version)
 
     def persist_retire(self, market, name: str) -> None:
         """Remove one retired dataset and the derived rows that named it."""
         graph_version = market.index.graph_version
-        with self._connect() as conn:
+        with self._transaction() as conn:
             for table in ("datasets", "column_profiles"):
                 conn.execute(
                     f"DELETE FROM {table} WHERE dataset = ?", (name,)
@@ -444,36 +481,39 @@ class MarketStore:
             "DELETE FROM graph_edges "
             "WHERE left_dataset = ? OR right_dataset = ?", (name, name),
         )
-        for cand in index.dataset_candidates(name):
-            fan = cand.fanout
-            conn.execute(
-                "INSERT OR REPLACE INTO join_candidates VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        conn.executemany(
+            "INSERT OR REPLACE INTO join_candidates VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [
                 (
                     cand.left_dataset, cand.left_column,
                     cand.right_dataset, cand.right_column,
                     cand.score, cand.evidence, cand.pk_side,
-                    None if fan is None else fan.lr,
-                    None if fan is None else fan.rl,
-                ),
-            )
+                    None if cand.fanout is None else cand.fanout.lr,
+                    None if cand.fanout is None else cand.fanout.rl,
+                )
+                for cand in index.dataset_candidates(name)
+            ],
+        )
+        edge_rows = []
         positions: dict[tuple[str, str], int] = {}
         for pred in index.dataset_edges(name):
             pair = (pred.left_dataset, pred.right_dataset)
             pos = positions.get(pair, 0)
             positions[pair] = pos + 1
             fan = pred.fanout
-            conn.execute(
-                "INSERT OR REPLACE INTO graph_edges VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    pred.left_dataset, pred.right_dataset, pos,
-                    json.dumps([list(p) for p in pred.pairs]),
-                    pred.score, pred.evidence, pred.pk_side,
-                    None if fan is None else fan.lr,
-                    None if fan is None else fan.rl,
-                ),
-            )
+            edge_rows.append((
+                pred.left_dataset, pred.right_dataset, pos,
+                json.dumps([list(p) for p in pred.pairs]),
+                pred.score, pred.evidence, pred.pk_side,
+                None if fan is None else fan.lr,
+                None if fan is None else fan.rl,
+            ))
+        conn.executemany(
+            "INSERT OR REPLACE INTO graph_edges VALUES "
+            "(?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            edge_rows,
+        )
         if self._fts:
             snapshot = market.metadata.snapshot(name)
             conn.execute(
@@ -498,11 +538,10 @@ class MarketStore:
         """Shared tail of every delta transaction: fingerprints, clocks,
         the graph version, and plan-cache pruning."""
         conn.execute("DELETE FROM component_fingerprints")
-        for cid, fp in enumerate(market.index.component_fingerprints()):
-            conn.execute(
-                "INSERT INTO component_fingerprints VALUES (?, ?)",
-                (cid, fp),
-            )
+        conn.executemany(
+            "INSERT INTO component_fingerprints VALUES (?, ?)",
+            enumerate(market.index.component_fingerprints()),
+        )
         self._set_meta(conn, "graph_version", graph_version)
         self._set_meta(conn, "metadata_clock", market.metadata.clock)
         self._set_meta(
@@ -519,25 +558,23 @@ class MarketStore:
     def save_plan_cache(self, market) -> int:
         """Persist the current plan cache (best effort): entries whose keys
         or mashups defy JSON stay process-local.  Returns rows written."""
-        planner = market.planner
         graph_version = market.index.graph_version
-        written = 0
-        with self._connect() as conn:
+        rows = []
+        for position, (key, entry) in enumerate(
+            market.planner.export_plan_cache()
+        ):
+            try:
+                key_json = json.dumps(key)
+                entry_json = json.dumps(self._entry_to_json(entry))
+            except (StoreError, TypeError, ValueError):
+                continue
+            rows.append((key_json, position, graph_version, entry_json))
+        with self._transaction() as conn:
             conn.execute("DELETE FROM plan_cache")
-            for position, (key, entry) in enumerate(
-                planner.export_plan_cache()
-            ):
-                try:
-                    key_json = json.dumps(key)
-                    entry_json = json.dumps(self._entry_to_json(entry))
-                except (StoreError, TypeError, ValueError):
-                    continue
-                conn.execute(
-                    "INSERT OR REPLACE INTO plan_cache VALUES (?, ?, ?, ?)",
-                    (key_json, position, graph_version, entry_json),
-                )
-                written += 1
-        return written
+            conn.executemany(
+                "INSERT OR REPLACE INTO plan_cache VALUES (?, ?, ?, ?)", rows
+            )
+        return len(rows)
 
     @staticmethod
     def _entry_to_json(entry: _PlanCacheEntry) -> dict:
@@ -623,7 +660,7 @@ class MarketStore:
     def replay_into(self, market) -> int:
         """Rebuild a fresh market's full state from the store; returns the
         number of datasets replayed.  An empty store is a no-op."""
-        with self._connect() as conn:
+        with self._transaction() as conn:
             rows = conn.execute(
                 "SELECT dataset, version, logical_time, content_hash, "
                 "owner, credentials, seller, reserve_price, license_json, "
@@ -830,7 +867,7 @@ class MarketStore:
             "SELECT dataset, seller, version, logical_time, n_rows, "
             "reserve_price FROM datasets "
         )
-        with self._connect() as conn:
+        with self._transaction() as conn:
             if after is None:
                 rows = conn.execute(
                     select + f"ORDER BY {column}, dataset LIMIT ?",
@@ -862,7 +899,7 @@ class MarketStore:
         tokens = [t for t in query.split() if t]
         if not tokens:
             return []
-        with self._connect() as conn:
+        with self._transaction() as conn:
             if self._fts:
                 match = " ".join(
                     '"{}"'.format(t.replace('"', '""')) for t in tokens

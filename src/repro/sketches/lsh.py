@@ -60,14 +60,19 @@ class LSHIndex:
                 f"share LSH bands"
             )
 
+    def band_keys(self, signature: MinHash) -> list[tuple[int, ...]]:
+        """The signature's bucket key in each band: consecutive ``rows``-wide
+        slices of its minima, as tuples of Python ints (a pure function of
+        the signature and the banding)."""
+        # zip over ``rows`` copies of one iterator groups consecutive runs
+        return list(zip(*[iter(signature.signature.tolist())] * self.rows))
+
     def add(self, key: Hashable, signature: MinHash) -> None:
         self._check_family(signature, pin=True)
         if key in self._signatures:
             raise KeyError(f"key {key!r} already indexed")
         self._signatures[key] = signature
-        for band, bucket in enumerate(self._buckets):
-            lo = band * self.rows
-            band_key = tuple(signature.signature[lo : lo + self.rows])
+        for bucket, band_key in zip(self._buckets, self.band_keys(signature)):
             bucket[band_key].append(key)
 
     def remove(self, key: Hashable) -> None:
@@ -76,9 +81,7 @@ class LSHIndex:
             signature = self._signatures.pop(key)
         except KeyError:
             raise KeyError(f"key {key!r} is not indexed") from None
-        for band, bucket in enumerate(self._buckets):
-            lo = band * self.rows
-            band_key = tuple(signature.signature[lo : lo + self.rows])
+        for bucket, band_key in zip(self._buckets, self.band_keys(signature)):
             keys = bucket[band_key]
             keys.remove(key)
             if not keys:
@@ -93,9 +96,7 @@ class LSHIndex:
         """
         self._check_family(signature, pin=False)
         out: set[Hashable] = set()
-        for band, bucket in enumerate(self._buckets):
-            lo = band * self.rows
-            band_key = tuple(signature.signature[lo : lo + self.rows])
+        for bucket, band_key in zip(self._buckets, self.band_keys(signature)):
             out.update(bucket.get(band_key, ()))
         return out
 

@@ -113,6 +113,74 @@ def test_incremental_matches_full_rebuild_over_random_lifecycles(seed):
         assert_equivalent(inc, oracle)
 
 
+CATEGORIES = ("amber", "basalt", "cobalt", "dune", "ember", "fjord")
+
+
+def bench_shaped_relation(
+    domain: int, i: int, rng: random.Random
+) -> Relation:
+    """Like the market benchmark's corpus: a per-domain int key, low-distinct
+    ``str`` columns whose names and values every domain shares (never
+    key-like, so they pair with each other and are all dropped early), a
+    ``str`` code key shared across domains, a non-key reference into the
+    next domain's keys (one key-like side), and float payloads."""
+    n = rng.randrange(20, 40)
+    keys = sorted(rng.sample(range(60), n))
+    ref = (domain + 1) % 3
+    return Relation(
+        f"d{domain}_{i}",
+        [
+            Column(f"key{domain}", "int"),
+            Column("colour", "str"),
+            Column("shade", "str"),
+            Column("code", "str"),
+            Column(f"key{ref}", "int"),
+            Column(f"v{domain}_{i}", "float"),
+        ],
+        [
+            (
+                domain * 1000 + k,
+                rng.choice(CATEGORIES),
+                CATEGORIES[k % 3],
+                f"sku{k}",
+                ref * 1000 + k - k % 4,
+                round(rng.random() * 100, 2),
+            )
+            for k in keys
+        ],
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_incremental_matches_rebuild_on_bench_shaped_corpus(seed):
+    rng = random.Random(seed)
+    eng = MetadataEngine(num_perm=32)
+    inc = IndexBuilder(eng)
+    oracle = IndexBuilder(eng, incremental=False)
+    live: list[tuple[int, int]] = []
+    for step in range(24):
+        domain, i = step % 3, step // 3
+        eng.register(bench_shaped_relation(domain, i, rng))
+        live.append((domain, i))
+        if step % 4 == 3:  # update an earlier dataset in place
+            d, j = live[rng.randrange(len(live))]
+            eng.register(bench_shaped_relation(d, j, rng))
+        if step % 7 == 6:
+            d, j = live.pop(rng.randrange(len(live)))
+            eng.remove(f"d{d}_{j}")
+        assert_equivalent(inc, oracle)
+    evidence = {c[5] for c in canonical_candidates(inc)}
+    assert {"overlap", "name"} <= evidence
+    cands = canonical_candidates(inc)
+    columns = {(c[1], c[3]) for c in cands}
+    assert ("code", "code") in columns  # str keys still join
+    assert not any("colour" in pair or "shade" in pair for pair in columns)
+    # a reference column (not key-like) still joins the key it points at
+    assert any(
+        c[1].startswith("key") and c[0][:2] != c[2][:2] for c in cands
+    )
+
+
 def test_candidate_order_breaks_ties_on_column_names():
     # two column pairs of the same dataset pair with identical scores: the
     # ordering must be deterministic via the column-name tiebreak

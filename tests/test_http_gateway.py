@@ -12,11 +12,16 @@ The properties under test:
   mutations are 403, over-budget clients are 429 with ``Retry-After``,
   malformed bodies are 422;
 * **snapshot reads** — a pinned search+plan over HTTP answers both
-  against one graph version even while writers churn.
+  against one graph version even while writers churn;
+* **framing** — a malformed ``Content-Length`` is a 400 and a short body a
+  408, each with the JSON error body and a closed connection, and neither
+  costs the server a handler thread.
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -446,3 +451,49 @@ def test_service_stats_standalone():
         assert stats["graph_version"] == service.market.graph_version
     finally:
         service.close()
+
+
+def raw_exchange(gw, request: bytes) -> tuple[int, dict, bytes]:
+    """Send raw bytes, read until the server closes the connection (a
+    socket timeout here means it never did); returns status, JSON body and
+    the raw header block."""
+    with socket.create_connection(gw.address, timeout=10.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body), head
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "+3", "0x10"])
+def test_malformed_content_length_is_400_and_closes(gateway, value, capfd):
+    status, body, head = raw_exchange(
+        gateway,
+        b"POST /search HTTP/1.1\r\nHost: x\r\n"
+        + f"Content-Length: {value}\r\n\r\n".encode()
+        + b"{}",
+    )
+    assert status == 400
+    assert body["error"]["type"] == "InvalidRequestError"
+    assert "Content-Length" in body["error"]["message"]
+    assert "as_of" in body
+    assert b"Connection: close" in head
+    assert client(gateway).healthz()["status"] == "ok"
+    assert client(gateway).stats()["requests"]["errors"].get("400") == 1
+    assert capfd.readouterr().err == ""  # no handler traceback
+
+
+def test_short_body_is_408_and_frees_the_handler(gateway):
+    gateway._server.RequestHandlerClass.timeout = 0.3
+    status, body, head = raw_exchange(
+        gateway,
+        b"POST /search HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 100\r\n\r\n" + b"0123456789",
+    )
+    assert status == 408
+    assert body["error"]["type"] == "InvalidRequestError"
+    assert b"Connection: close" in head
+    assert client(gateway).healthz()["status"] == "ok"
+

@@ -11,6 +11,9 @@ keyset-cursor listing and FTS dataset search.
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from repro.market.licensing import (
     License,
     LicenseKind,
 )
-from repro.platform import MarketStore, StoreError
+from repro.platform import MarketService, MarketStore, StoreError
 from repro.relation import Column, Relation
 
 
@@ -83,11 +86,7 @@ def profile_record(market, dataset):
 # cold-start replay is bit-identical
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cold_start_replay_is_bit_identical(tmp_path, seed):
-    live, path = seeded_store_market(tmp_path, seed)
-    replayed = DataMarket(store=str(path))
-
+def assert_replays_identically(replayed, live) -> None:
     assert replayed.graph_version == live.graph_version
     assert replayed.datasets == live.datasets
     for ds in live.datasets:
@@ -104,6 +103,149 @@ def test_cold_start_replay_is_bit_identical(tmp_path, seed):
         replayed.index.component_fingerprints()
         == live.index.component_fingerprints()
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cold_start_replay_is_bit_identical(tmp_path, seed):
+    live, path = seeded_store_market(tmp_path, seed)
+    assert_replays_identically(DataMarket(store=str(path)), live)
+
+
+def churn_relation(i: int, version: int = 0) -> Relation:
+    """Overlapping int keys (joins), a low-distinct str column shared by
+    every dataset (never a candidate), and a dataset-specific payload."""
+    start = (i % 4) * 5 + version
+    return Relation(
+        f"ds{i}",
+        [Column("key", "int"), Column("tag", "str"),
+         Column(f"v{i}", "float")],
+        [
+            (k, f"t{k % 3}", float(k * (i + 1) + version))
+            for k in range(start, start + 20)
+        ],
+    )
+
+
+def test_one_connection_serves_many_deltas_and_replays(tmp_path):
+    path = tmp_path / "market.db"
+    store = MarketStore(path)
+    live = DataMarket(store=store)
+    deltas = 0
+    for i in range(30):
+        live.register_dataset(churn_relation(i), seller="acme")
+        deltas += 1
+        if i % 2 == 1:
+            live.update_dataset(churn_relation(i - 1, version=i), "acme")
+            deltas += 1
+        if i % 5 == 4:
+            live.retire_dataset(f"ds{i - 2}")
+            deltas += 1
+    assert deltas >= 50
+    assert store.graph_version() == live.graph_version
+    # the writer's connection is still open: replay reads through its WAL
+    assert Path(f"{path}-wal").exists()
+    replayed = DataMarket(store=str(path))
+    try:
+        assert_replays_identically(replayed, live)
+        assert replayed.datasets == live.datasets
+    finally:
+        replayed.store.close()
+        store.close()
+
+
+def test_close_is_idempotent_and_later_use_raises(tmp_path):
+    live, path = seeded_store_market(tmp_path)
+    store = live.store
+    store.close()
+    store.close()
+    assert not Path(f"{path}-wal").exists()  # close checkpointed the WAL
+    with pytest.raises(StoreError, match="closed"):
+        store.persist_dataset(live, "orders")
+    with pytest.raises(StoreError, match="closed"):
+        store.graph_version()
+    reopened = MarketStore(path)
+    assert reopened.graph_version() == live.graph_version
+    reopened.close()
+
+
+def test_shared_connection_under_concurrent_reads_and_writes(tmp_path):
+    """Readers listing and searching on many threads while the writer
+    commits deltas, all through the store's one connection: no call may
+    fail, every listing is a prefix of the registrations, and a separate
+    connection never sees half a delta (a reader's commit must not land
+    inside the writer's transaction)."""
+    path = tmp_path / "market.db"
+    service = MarketService(DataMarket(store=str(path)))
+    n_writes, errors, seen = 32, [], []
+    done = threading.Event()
+
+    def read():
+        try:
+            while not done.is_set():
+                page, _ = service.list_datasets(limit=100)
+                seen.append(len(page))
+                names = [row["dataset"] for row in page]
+                assert names == [f"ds{i}" for i in range(len(names))]
+                service.search_text("key tag")
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def audit():
+        conn = sqlite3.connect(path, isolation_level=None)
+        try:
+            while not done.is_set():
+                conn.execute("BEGIN")
+                orphans = conn.execute(
+                    "SELECT COUNT(*) FROM datasets d WHERE NOT EXISTS ("
+                    "SELECT 1 FROM column_profiles c "
+                    "WHERE c.dataset = d.dataset)"
+                ).fetchone()[0]
+                newest = conn.execute(
+                    "SELECT MAX(graph_version) FROM datasets"
+                ).fetchone()[0]
+                stored = conn.execute(
+                    "SELECT value FROM store_meta "
+                    "WHERE key = 'graph_version'"
+                ).fetchone()
+                conn.execute("COMMIT")
+                assert orphans == 0
+                if newest is not None:
+                    assert int(stored[0]) == newest
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            conn.close()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=read) for _ in range(6)]
+    readers.append(threading.Thread(target=audit))
+    try:
+        for t in readers:
+            t.start()
+        for i in range(n_writes):
+            service.register_dataset(churn_relation(i), "acme").result(30)
+    finally:
+        done.set()
+        for t in readers:
+            t.join(30)
+        sys.setswitchinterval(switch)
+    try:
+        assert not any(t.is_alive() for t in readers)
+        assert errors == []
+        assert seen and max(seen) <= n_writes
+        assert service.market.store.dataset_count() == n_writes
+    finally:
+        service.close()
+
+
+def test_service_close_closes_the_store(tmp_path):
+    service = MarketService(DataMarket(store=str(tmp_path / "market.db")))
+    service.register_dataset(churn_relation(0), "acme").result(10)
+    service.close()
+    service.close()
+    with pytest.raises(StoreError, match="closed"):
+        service.market.store.dataset_count()
 
 
 @pytest.mark.parametrize("seed", [0, 3])

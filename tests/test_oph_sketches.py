@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro import DataMarket
+from repro.discovery import IndexBuilder, MetadataEngine
 from repro.discovery.profiler import profile_table
 from repro.errors import InvalidRequestError
 from repro.platform import StoreError
@@ -455,3 +456,23 @@ def test_store_scheme_column_round_trips(tmp_path):
     finally:
         conn.close()
     assert schemes == {"oph"}
+
+
+def _per_slice_keys(signature: MinHash, bands: int) -> list[tuple]:
+    """Reference banding: one numpy slice per band."""
+    rows = signature.num_perm // bands
+    return [
+        tuple(signature.signature[b * rows : (b + 1) * rows])
+        for b in range(bands)
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["classic", "oph"])
+@pytest.mark.parametrize("lsh_bands", [None, 16, 4])
+def test_band_keys_equal_per_slice_keys(scheme, lsh_bands):
+    builder = IndexBuilder(MetadataEngine(scheme=scheme), lsh_bands=lsh_bands)
+    for n in (0, 1, 7, 300):
+        sig = MinHash.of_tokens([f"t{i}" for i in range(n)], scheme=scheme)
+        keys = builder.lsh_band_keys(sig)
+        assert keys == _per_slice_keys(sig, lsh_bands or 64)
+        assert all(type(v) is int for key in keys for v in key)
